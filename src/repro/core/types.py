@@ -98,11 +98,29 @@ class View:
 @dataclass(frozen=True)
 class Label:
     """A system-wide unique message label (Fig. 8): ``L = G x N>0 x P``
-    with selectors id, seqno, origin; ordered lexicographically."""
+    with selectors id, seqno, origin; ordered lexicographically.
+
+    State exchange hashes every label of the history, so the hash is
+    computed once, at construction, into a slot that is not a field:
+    the codecs, ``repr`` and equality see only the three selectors.
+    ``str`` hashes differ between processes, so pickling and copying
+    rebuild the label from its fields and never carry the hash over.
+    """
+
+    __slots__ = ("id", "seqno", "origin", "_hash")
 
     id: ViewId
     seqno: int
     origin: ProcId
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.id, self.seqno, self.origin)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (Label, (self.id, self.seqno, self.origin))
 
     def _key(self) -> tuple:
         return (self.id, self.seqno, self.origin)

@@ -39,7 +39,9 @@ class LegacyVStoTOProcess(VStoTOProcess):
     def _order_append(self, label: Label) -> None:
         self.order.append(label)
 
-    def _replace_order(self, labels: list[Label]) -> None:
+    def _replace_order(
+        self, labels: list[Label], label_set: frozenset[Label] | None = None
+    ) -> None:
         self.order = labels
 
     def _content_index(self) -> dict[Label, Any]:

@@ -36,6 +36,7 @@ where the paper inserts them; they do not influence behaviour.
 from __future__ import annotations
 
 import enum
+import operator
 from collections.abc import Hashable, Iterator
 from typing import Any
 
@@ -44,7 +45,7 @@ from repro.core.types import BOTTOM, Label, View, ViewId
 from repro.core.vstoto.summary import (
     SharedOrderPrefix,
     Summary,
-    fullorder,
+    fullorder_with_labels,
     maxnextconfirm,
     maxprimary,
     shortorder,
@@ -135,6 +136,10 @@ class VStoTOProcess(Automaton):
         self._content_map_src: Any = self.content
         self._summary_cache: Summary | None = None
         self._summary_key: Any = None
+        self._primary_src: Any = None
+        self._primary: bool = False
+        self._fullorder_key: Any = None
+        self._fullorder: tuple[tuple[Label, ...], frozenset[Label]] = ((), frozenset())
 
     # ------------------------------------------------------------------
     # Derived indexes (hot-path bookkeeping; all self-healing)
@@ -162,10 +167,13 @@ class VStoTOProcess(Automaton):
         self._order_set.add(label)
         self._order_set_len = len(self.order)
 
-    def _replace_order(self, labels: list[Label]) -> None:
-        """Wholesale order replacement (state-exchange adoption)."""
+    def _replace_order(
+        self, labels: list[Label], label_set: frozenset[Label] | None = None
+    ) -> None:
+        """Wholesale order replacement (state-exchange adoption);
+        ``label_set``, when given, is the set of ``labels``."""
         self.order = labels
-        self._order_set = set(labels)
+        self._order_set = set(labels if label_set is None else label_set)
         self._order_set_len = len(labels)
         self._order_set_src = labels
 
@@ -198,10 +206,19 @@ class VStoTOProcess(Automaton):
     @property
     def primary(self) -> bool:
         """Fig. 9's derived variable: current ≠ ⊥ and current.set
-        contains a quorum."""
-        return self.current is not BOTTOM and self.quorums.is_primary(
-            self.current.set
-        )
+        contains a quorum.
+
+        Cached per ``current`` object: it can change only when
+        ``current`` does, and keying on the object's identity makes any
+        reassignment (``newview``, tests, snapshot restore) a miss.
+        """
+        current = self.current
+        if current is not self._primary_src:
+            self._primary = current is not BOTTOM and self.quorums.is_primary(
+                current.set
+            )
+            self._primary_src = current
+        return self._primary
 
     def state_summary(self) -> Summary:
         """⟨content, order, nextconfirm, highprimary⟩ — the summary this
@@ -335,7 +352,10 @@ class VStoTOProcess(Automaton):
                         and self.safe_exch == set(self.current.set)
                         and self.primary
                     ):
-                        self.safe_labels |= set(fullorder(self.gotstate))
+                        self.safe_labels |= self._fullorder_of_gotstate()[1]
+                        # Last use in this view: free the cached order.
+                        self._fullorder_key = None
+                        self._fullorder = ((), frozenset())
                 else:
                     label, _value = m
                     if self.primary:
@@ -359,15 +379,42 @@ class VStoTOProcess(Automaton):
                 self.safe_labels = set()
                 self.status = Status.SEND
 
+    def _fullorder_of_gotstate(self) -> tuple[tuple[Label, ...], frozenset[Label]]:
+        """``fullorder(gotstate)`` and its label set, computed once per
+        gotstate.
+
+        The cache key pins the gotstate dict, its senders and the
+        identity of each summary, so a new view's gotstate, another
+        summary or a direct reassignment is a miss.
+        """
+        gotstate = self.gotstate
+        senders = tuple(gotstate)
+        summaries = tuple(gotstate.values())
+        key = self._fullorder_key
+        if (
+            key is None
+            or key[0] is not gotstate
+            or key[1] != senders
+            or not all(map(operator.is_, key[2], summaries))
+        ):
+            self._fullorder = fullorder_with_labels(gotstate)
+            self._fullorder_key = (gotstate, senders, summaries)
+        return self._fullorder
+
     def _receive_summary(self, sender: ProcId, summary: Summary) -> None:
-        """Effect of ``gprcv(x)_{q,p}`` for a summary x (Fig. 10)."""
-        index = self._content_index()
-        before = len(self.content)
-        self.content |= summary.con
-        if len(self.content) != before:
-            for label, value in summary.con:
-                index[label] = value
-            self._content_map_len = len(self.content)
+        """Effect of ``gprcv(x)_{q,p}`` for a summary x (Fig. 10).
+
+        ``content |= x.con`` is skipped for the process's own summary:
+        content only grows, so the summary it sent is already a subset.
+        """
+        if sender != self.proc_id:
+            added = summary.con - self.content
+            if added:
+                index = self._content_index()
+                self.content |= added
+                for label, value in added:
+                    index[label] = value
+                self._content_map_len = len(self.content)
         self.gotstate[sender] = summary
         if (
             self.current is not BOTTOM
@@ -376,7 +423,8 @@ class VStoTOProcess(Automaton):
         ):
             self.nextconfirm = maxnextconfirm(self.gotstate)
             if self.primary:
-                self._replace_order(list(fullorder(self.gotstate)))
+                order, labels = self._fullorder_of_gotstate()
+                self._replace_order(list(order), labels)
                 self.highprimary = self.current.id
             else:
                 self._replace_order(list(shortorder(self.gotstate)))

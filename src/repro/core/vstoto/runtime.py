@@ -92,9 +92,11 @@ class VStoTORuntime:
         self.deliveries: list[Delivery] = []
         self._draining: set[ProcId] = set()
         self._status_listeners: list[StatusListener] = []
-        self._last_status: dict[ProcId, str] = {
-            p: proc.status.value for p, proc in self.procs.items()
-        }
+        # Status edges are tracked only while someone watches them (the
+        # tracer or a listener); until then each call site costs one
+        # branch.
+        self._watching_status = False
+        self._last_status: dict[ProcId, str] = {}
         # Observability slots (bound by attach_obs; `is None` guarded).
         self._m_views = None
         self._m_pending_delay = None
@@ -156,6 +158,7 @@ class VStoTORuntime:
                 self._mode[p] = self._mode_of(p)
                 self._mode_since[p] = now
         self._tracer = obs.tracer
+        self._watch_status()
 
     def _mode_of(self, p: ProcId) -> str:
         return "primary" if self.procs[p].primary else "non_primary"
@@ -203,6 +206,17 @@ class VStoTORuntime:
         protocol-event hub of :mod:`repro.faults.triggers` and the
         scenario coverage tracker are the customers."""
         self._status_listeners.append(fn)
+        self._watch_status()
+
+    def _watch_status(self) -> None:
+        """Start tracking status edges once a tracer or listener exists,
+        from every processor's status at that moment."""
+        if self._watching_status:
+            return
+        if self._tracer is None and not self._status_listeners:
+            return
+        self._last_status = {p: proc.status.value for p, proc in self.procs.items()}
+        self._watching_status = True
 
     def _emit_status_edge(self, p: ProcId) -> None:
         new = self.procs[p].status.value
@@ -220,7 +234,8 @@ class VStoTORuntime:
         """Client at p submits a value (the TO ``bcast`` input)."""
         self._record("bcast", value, p)
         self.procs[p].step(act("bcast", value, p))
-        self._emit_status_edge(p)
+        if self._watching_status:
+            self._emit_status_edge(p)
         self._drain(p)
 
     def schedule_broadcast(self, time: float, p: ProcId, value: Any) -> None:
@@ -249,12 +264,14 @@ class VStoTORuntime:
             self._tracer.on_established(
                 self.service.simulator.now, proc.current.id, dst
             )
-        self._emit_status_edge(dst)
+        if self._watching_status:
+            self._emit_status_edge(dst)
         self._drain(dst)
 
     def _on_safe(self, payload: Any, src: ProcId, dst: ProcId) -> None:
         self.procs[dst].step(act("safe", payload, src, dst))
-        self._emit_status_edge(dst)
+        if self._watching_status:
+            self._emit_status_edge(dst)
         self._drain(dst)
 
     def _on_newview(self, view: View, p: ProcId) -> None:
@@ -263,12 +280,20 @@ class VStoTORuntime:
             self._m_views[p].inc()
             self._flush_residency(p, self.service.simulator.now)
             self._mode[p] = self._mode_of(p)
-        self._emit_status_edge(p)
+        if self._watching_status:
+            self._emit_status_edge(p)
         self._drain(p)
 
     # ------------------------------------------------------------------
     def _drain(self, p: ProcId) -> None:
-        """Fire enabled locally controlled actions at p to quiescence."""
+        """Fire enabled locally controlled actions at p to quiescence.
+
+        Each action comes from ``enabled_actions()`` in the state it is
+        applied in, so it is applied through ``apply`` directly: running
+        it through the checked ``step`` would evaluate the precondition
+        the enumeration has just established a second time.  Inputs
+        (bcast, gprcv, safe, newview) still go through ``step``.
+        """
         if p in self._draining:
             return  # re-entrant call via service.gpsnd -> ... -> _drain
         if self.service.network.oracle.processor_bad(p):
@@ -277,11 +302,12 @@ class VStoTORuntime:
         self._draining.add(p)
         try:
             for _ in range(_DRAIN_LIMIT):
-                action = next(iter(proc.enabled_actions()), None)
+                action = next(proc.enabled_actions(), None)
                 if action is None:
                     return
-                proc.step(action)
-                self._emit_status_edge(p)
+                proc.apply(action)
+                if self._watching_status:
+                    self._emit_status_edge(p)
                 self._after_local_action(p, action)
             raise RuntimeError(f"drain limit exceeded at {p!r}")
         finally:

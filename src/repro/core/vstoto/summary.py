@@ -180,12 +180,28 @@ def fullorder(gotstate: GotState) -> tuple[Label, ...]:
     """``fullorder(Y)``: shortorder(Y) followed by the remaining labels
     of dom(knowncontent(Y)) in label order — the order adopted when the
     new view is primary."""
+    return fullorder_with_labels(gotstate)[0]
+
+
+def fullorder_with_labels(
+    gotstate: GotState,
+) -> tuple[tuple[Label, ...], frozenset[Label]]:
+    """``fullorder(Y)`` together with the set of its labels.
+
+    Each summary's ``con`` holds the whole content history, so the
+    content pairs are merged by the hashes their sets already store,
+    only dom(knowncontent(Y)) is built, and the label set comes out of
+    the same pass for callers that index the order: each label is
+    hashed once, and once more if it is in shortorder(Y).
+    """
     prefix = shortorder(gotstate)
+    pairs: set[ContentPair] = set()
+    pairs.update(*(summary.con for summary in gotstate.values()))
+    known = {label for (label, _value) in pairs}
     seen = set(prefix)
-    remaining = sorted(
-        {label for (label, _value) in knowncontent(gotstate)} - seen
-    )
-    return prefix + tuple(remaining)
+    remaining = known - seen
+    seen |= remaining
+    return prefix + tuple(sorted(remaining)), frozenset(seen)
 
 
 def maxnextconfirm(gotstate: GotState) -> int:

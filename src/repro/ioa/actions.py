@@ -79,6 +79,7 @@ class Signature:
         )
         if overlap:
             raise ValueError(f"action names in more than one class: {sorted(overlap)}")
+        self._all = self._inputs | self._outputs | self._internals
 
     @property
     def inputs(self) -> frozenset[str]:
@@ -104,7 +105,7 @@ class Signature:
 
     @property
     def all_names(self) -> frozenset[str]:
-        return self._inputs | self._outputs | self._internals
+        return self._all
 
     def kind_of(self, name: str) -> ActionKind:
         """Classify ``name``; raises :class:`KeyError` if absent."""
@@ -117,7 +118,7 @@ class Signature:
         raise KeyError(f"action {name!r} not in signature")
 
     def contains(self, name: str) -> bool:
-        return name in self.all_names
+        return name in self._all
 
     def hide(self, names: Iterable[str]) -> Signature:
         """Return a signature with the given output names made internal.

@@ -719,6 +719,9 @@ class RingMember(NetworkNode):
                         self._sim.now - self._round_started
                     )
             if self.config.work_conserving and self._token_has_work(token):
+                # Relaunch: a fresh trail, as a launch tick starts one
+                # (the leader has just processed the token).
+                token.trail = [self.proc_id]
                 self._round_started = self._sim.now
                 self._forward(token)
             else:

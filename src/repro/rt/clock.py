@@ -61,6 +61,7 @@ class LiveScheduler:
         self._loop = loop if loop is not None else asyncio.get_event_loop()
         self._t0 = self._loop.time()
         self.events_scheduled = 0
+        self._closed = False
 
     @property
     def now(self) -> float:
@@ -74,8 +75,18 @@ class LiveScheduler:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self.events_scheduled += 1
-        handle = self._loop.call_later(delay, callback)
+        handle = self._loop.call_later(delay, self._fire, callback)
         return LiveTimerHandle(handle, self.now + delay)
+
+    def _fire(self, callback: Callable[[], None]) -> None:
+        if not self._closed:
+            callback()
+
+    def close(self) -> None:
+        """Stop every timer: callbacks still pending, and any scheduled
+        later, never run.  The node calls this before it closes its
+        event logs, so no protocol timer can write to a closed log."""
+        self._closed = True
 
     def schedule_at(
         self, time: float, callback: Callable[[], None]

@@ -419,9 +419,13 @@ class LiveNode:
         path.write_text(json.dumps(report, indent=2), encoding="utf-8")
 
     async def close(self) -> None:
+        """Stop the timers, then the transport (no frame is dispatched
+        after it returns), and only then close the event logs, so no
+        protocol callback can write to a closed log."""
+        self.scheduler.close()
+        await self.network.close()
         for name in sorted(self._stacks):
             self._stacks[name].log.close()
-        await self.network.close()
 
 
 def default_ring_config(delta: float = 0.05) -> RingConfig:

@@ -56,6 +56,9 @@ from repro.rt.wire import (
 #: Reserved sender id for the cluster driver's control connections.
 DRIVER_ID = "driver"
 
+#: Longest wait in close() for inbound handlers to see their stream end.
+SERVE_CLOSE_TIMEOUT = 1.0
+
 #: Counter keys maintained by every LiveNetwork.
 COUNTER_KEYS = (
     "frames_sent",
@@ -187,7 +190,9 @@ class LiveNetwork:
             peer.sender = self._make_sender(batching=True)
         self._node: Any = None
         self._server: asyncio.AbstractServer | None = None
-        self._inbound: dict[str, asyncio.StreamWriter] = {}
+        # Every running inbound handler and its stream, so close() can
+        # end them all and wait for them.
+        self._serving: dict[asyncio.Task[None], asyncio.StreamWriter] = {}
         self._closing = False
         self.blocked: set[str] = set()
         self.counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
@@ -357,9 +362,13 @@ class LiveNetwork:
             if peer.writer is not None:
                 peer.writer.close()
                 peer.writer = None
-        for writer in list(self._inbound.values()):
+        # Closing a stream ends its handler at the next read (EOF); wait
+        # for that, so no handler is left for loop teardown to cancel.
+        handlers = list(self._serving)
+        for writer in self._serving.values():
             writer.close()
-        self._inbound.clear()
+        if handlers:
+            await asyncio.wait(handlers, timeout=SERVE_CLOSE_TIMEOUT)
 
     # ------------------------------------------------------------------
     # Outbound
@@ -470,6 +479,9 @@ class LiveNetwork:
         # control reply never sits behind a flush window.
         replier: Callable[[Ctl], None] | None = None
         src: str | None = None
+        task = asyncio.current_task()
+        assert task is not None  # start_server runs each handler as a task
+        self._serving[task] = writer
         try:
             while True:
                 data = await reader.read(65536)
@@ -487,7 +499,6 @@ class LiveNetwork:
                 for message in messages:
                     if isinstance(message, Hello):
                         src = message.src
-                        self._inbound[src] = writer
                         continue
                     if src is None:
                         self.counters["frame_errors"] += 1
@@ -510,8 +521,7 @@ class LiveNetwork:
         except OSError:
             pass
         finally:
-            if src is not None and self._inbound.get(src) is writer:
-                del self._inbound[src]
+            del self._serving[task]
             writer.close()
 
     def _replier(self, writer: asyncio.StreamWriter) -> Callable[[Ctl], None]:

@@ -54,6 +54,16 @@ class TestInitialState:
         assert not proc.primary
         assert not process(quorums=NoQuorumSystem()).primary
 
+    def test_primary_follows_direct_reassignment_of_current(self):
+        proc = process()
+        assert proc.primary
+        proc.current = View(5, {"p"})
+        assert not proc.primary
+        proc.current = View(6, {"p", "q"})
+        assert proc.primary
+        proc.current = BOTTOM
+        assert not proc.primary
+
 
 class TestNormalPath:
     def test_bcast_goes_to_delay(self):
@@ -232,6 +242,27 @@ class TestRecovery:
         assert proc.safe_labels == set()  # p's summary not yet safe
         proc.step(act("safe", own, "p", "p"))
         assert label_q in proc.safe_labels
+
+    def test_safe_exchange_uses_the_current_gotstate(self):
+        """The fullorder computed at exchange completion is reused by
+        the summary-safe branch only while gotstate is unchanged."""
+        proc = process()
+        label_q = Label(0, 1, "q")
+        label_r = Label(0, 1, "r")
+        other = Summary(
+            con=frozenset({(label_q, "z")}), ord=(label_q,), next=1, high=0
+        )
+        view = View(1, {"p", "q"})
+        exchange(proc, view, {"q": other})
+        own = proc.gotstate["p"]
+        replaced = Summary(
+            con=frozenset({(label_r, "y")}), ord=(label_r,), next=1, high=0
+        )
+        proc.gotstate = {"p": own, "q": replaced}
+        proc.step(act("safe", other, "q", "p"))
+        proc.step(act("safe", own, "p", "p"))
+        assert label_r in proc.safe_labels
+        assert label_q not in proc.safe_labels
 
     def test_nextconfirm_takes_max(self):
         proc = process()

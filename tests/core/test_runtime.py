@@ -116,6 +116,31 @@ class TestPartitionBehaviour:
             assert runtime.delivered_values(p) == reference
 
 
+class TestStatusListeners:
+    def test_listener_added_mid_run_sees_well_formed_edges(self):
+        """Edges are tracked only once someone listens; a late listener
+        starts from every processor's status at that moment, so each
+        edge it sees leaves the status the previous edge entered."""
+        service, runtime = make_stack(seed=6)
+        scenario = (
+            PartitionScenario()
+            .add(20.0, [[1, 2, 3], [4, 5]])
+            .add(200.0, [[1, 2, 3, 4, 5]])
+        )
+        service.install_scenario(scenario)
+        runtime.start()
+        runtime.run_until(30.0)  # the split's view changes are under way
+        status = {p: proc.status.value for p, proc in runtime.procs.items()}
+        edges = []
+        runtime.add_status_listener(lambda t, p, old, new: edges.append((p, old, new)))
+        runtime.run_until(600.0)
+        assert edges
+        for p, old, new in edges:
+            assert old == status[p] != new
+            status[p] = new
+        assert all(runtime.procs[p].status.value == status[p] for p in PROCS)
+
+
 class TestCrashRecovery:
     def test_crashed_processor_excluded_then_rejoins(self):
         service, runtime = make_stack(seed=8)

@@ -10,6 +10,7 @@ from repro.core.vstoto.summary import (
     chosenrep,
     content_as_function,
     fullorder,
+    fullorder_with_labels,
     knowncontent,
     maxnextconfirm,
     maxprimary,
@@ -110,6 +111,15 @@ class TestOperations:
             "p": summary(high=1, ord=(L1,), con={(L1, "a"), (L2, "b")}),
         }
         assert fullorder(y) == (L1, L2)
+
+    def test_fullorder_with_labels_returns_the_order_and_its_labels(self):
+        y = {
+            "p": summary(high=1, ord=(L3, L4), con={(L3, "c"), (L1, "a")}),
+            "q": summary(high=0, con={(L2, "b"), (L1, "a")}),
+        }
+        order, labels = fullorder_with_labels(y)
+        assert order == fullorder(y) == (L3, L4, L1, L2)
+        assert labels == frozenset(order)
 
     def test_maxnextconfirm(self):
         y = {"p": summary(next=4), "q": summary(next=2)}

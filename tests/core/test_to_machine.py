@@ -155,6 +155,23 @@ class TestTraceChecker:
         ]
         assert check_to_trace(trace, PROCS).ok
 
+    def test_rejects_late_causality_violation_in_long_trace(self):
+        """A long valid prefix, then q delivers a value from p that p
+        has not bcast yet: the (destination, origin) counters must catch
+        it at the very end with the same reason as a short trace."""
+        trace = []
+        for i in range(3000):
+            origin = PROCS[i % 3]
+            trace.append(act("bcast", f"v{i}", origin))
+            for dst in PROCS:
+                trace.append(act("brcv", f"v{i}", origin, dst))
+        trace.append(act("brcv", "early", "p", "q"))
+        report = check_to_trace(trace, PROCS)
+        assert not report.ok
+        assert report.reason == "delivery of 'early' at 'q' precedes its bcast at 'p'"
+        # Without the late delivery the same trace is accepted.
+        assert check_to_trace(trace[:-1], PROCS).ok
+
     def test_rejects_unknown_action(self):
         assert not check_to_trace([act("mystery")], PROCS).ok
 

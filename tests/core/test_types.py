@@ -2,6 +2,11 @@
 lexicographic label order."""
 
 import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,3 +127,38 @@ class TestLabelOrder:
         ordered = sorted(labels)
         for earlier, later in zip(ordered, ordered[1:]):
             assert earlier < later or earlier == later
+
+
+class TestLabelHash:
+    def test_hash_is_the_selector_tuple_hash(self):
+        label = Label((2, "p"), 7, "q")
+        assert hash(label) == hash(((2, "p"), 7, "q"))
+        assert hash(label) == hash(Label((2, "p"), 7, "q"))
+
+    def test_cached_hash_is_not_a_field(self):
+        label = Label(3, 7, "p")
+        assert [f.name for f in dataclasses.fields(label)] == ["id", "seqno", "origin"]
+        assert repr(label) == "Label(id=3, seqno=7, origin='p')"
+        assert dataclasses.replace(label, seqno=8) == Label(3, 8, "p")
+
+    def test_copies_rebuild_from_the_selectors(self):
+        label = Label((1, "p"), 2, "q")
+        assert label.__reduce__() == (Label, ((1, "p"), 2, "q"))
+        for clone in (pickle.loads(pickle.dumps(label)), copy.deepcopy(label)):
+            assert clone == label and hash(clone) == hash(label)
+
+    def test_hash_is_recomputed_in_another_process(self):
+        """``str`` hashes differ between processes: a label unpickled
+        elsewhere must hash as that process hashes its selectors."""
+        blob = pickle.dumps(Label((1, "p1"), 2, "p2"))
+        code = (
+            "import pickle, sys\n"
+            "label = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert hash(label) == hash(((1, 'p1'), 2, 'p2'))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        result = subprocess.run(
+            [sys.executable, "-c", code], input=blob, env=env, capture_output=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr.decode()
