@@ -6,9 +6,12 @@ deterministic clock; this package runs the *same protocol objects*
 :class:`~repro.core.vstoto.runtime.VStoTORuntime`) across real OS
 processes over TCP:
 
-- :mod:`repro.rt.framing` — length-prefixed frames and a JSON wire
-  codec for every protocol message (tokens, membership rounds, client
-  payloads, control ops);
+- :mod:`repro.rt.wire` — the one wire format: framed headers, the
+  compact binary codec with per-connection interning, and same-turn
+  batching for every protocol message (tokens, membership rounds,
+  client payloads, control ops);
+- :mod:`repro.rt.framing` — the wire-type registry and the tagged-JSON
+  value vocabulary the event logs store;
 - :mod:`repro.rt.clock` — :class:`LiveScheduler`, a Simulator-shaped
   timer facade over the asyncio event loop (the one place protocol
   code touches the host clock; see the ``repro.rt`` carve-out in the
@@ -37,30 +40,22 @@ of the VS and TO specifications.
 from __future__ import annotations
 
 from repro.rt.clock import LiveScheduler
-from repro.rt.framing import (
-    FrameDecoder,
-    FrameError,
-    MAX_FRAME,
-    decode_message,
-    encode_frame,
-    encode_message,
-)
+from repro.rt.framing import FrameError, MAX_FRAME
 from repro.rt.transport import Ctl, Hello, LiveNetwork
 from repro.rt.trace import EventLog, VerifyReport, load_event_logs, verify_events
+from repro.rt.wire import BinaryWire, WireDecoder
 
 __all__ = [
+    "BinaryWire",
     "Ctl",
     "EventLog",
-    "FrameDecoder",
     "FrameError",
     "Hello",
     "LiveNetwork",
     "LiveScheduler",
     "MAX_FRAME",
     "VerifyReport",
-    "decode_message",
-    "encode_frame",
-    "encode_message",
+    "WireDecoder",
     "load_event_logs",
     "verify_events",
 ]

@@ -46,11 +46,15 @@ from repro.rt.faults import (
     single_partition_window,
     windows_from_scenario,
 )
-from repro.rt.framing import encode_frame, encode_message
-from repro.rt.node import initial_view_for, resolve_flush_after
-from repro.rt.trace import VerifyReport, load_event_logs, verify_events
+from repro.rt.node import initial_view_for
+from repro.rt.trace import (
+    VerifyReport,
+    delivery_rate,
+    load_event_logs,
+    verify_events,
+)
 from repro.rt.transport import DRIVER_ID, Ctl, Hello
-from repro.rt.wire import WireReader, WireWriter, make_wire
+from repro.rt.wire import CODEC_NAME, WireReader, WireWriter
 from repro.shard.live import (
     delivered_order_from_logs,
     encode_live_op,
@@ -71,26 +75,16 @@ def free_port() -> int:
 class NodeClient:
     """One control-plane connection from the driver to a node.
 
-    ``wire`` picks the codec the driver speaks (replies are decoded by
-    header auto-detection regardless); ``flush_after`` batches
-    fire-and-forget sends — with a 0-second window, back-to-back client
-    sends in one event-loop turn (an overloaded open-loop generator)
-    coalesce into one frame.
+    Fire-and-forget sends are batched within one event-loop turn, so
+    back-to-back client sends (an overloaded open-loop generator)
+    coalesce into one frame; requests are flushed at once.
     """
 
-    def __init__(
-        self,
-        proc_id: str,
-        host: str,
-        port: int,
-        wire: str = "json",
-        flush_after: float | None = None,
-    ) -> None:
+    def __init__(self, proc_id: str, host: str, port: int) -> None:
         self.proc_id = proc_id
         self.host = host
         self.port = port
-        self.wire_name = wire
-        self._sender = WireWriter(make_wire(wire), flush_after=flush_after)
+        self._sender = WireWriter(batching=True)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._replies: asyncio.Queue[Ctl] = asyncio.Queue()
@@ -122,12 +116,8 @@ class NodeClient:
         self._sender.set_schedule(
             lambda delay, callback: loop.call_later(delay, callback)
         )
-        self._writer.write(
-            encode_frame(
-                encode_message(Hello(src=DRIVER_ID, wire=self.wire_name))
-            )
-        )
         self._sender.attach(self._writer.write)
+        self._sender.send_now(Hello(src=DRIVER_ID))
         self._read_task = loop.create_task(self._read_loop())
 
     async def _read_loop(self) -> None:
@@ -157,7 +147,18 @@ class NodeClient:
         """Send a control record and await the next reply."""
         async with self._request_lock:
             self._sender.send_now(ctl)
-            return await asyncio.wait_for(self._replies.get(), timeout)
+            # Not asyncio.wait_for: before Python 3.12 it returns the
+            # reply instead of raising when a cancel() lands just as the
+            # reply arrives, so a stats poller stopped by cancel() kept
+            # polling and the await on its task never returned.
+            getter = asyncio.ensure_future(self._replies.get())
+            try:
+                done, _ = await asyncio.wait({getter}, timeout=timeout)
+            finally:
+                getter.cancel()
+            if not done:
+                raise asyncio.TimeoutError
+            return getter.result()
 
     @property
     def wire_stats(self) -> dict[str, Any]:
@@ -182,7 +183,6 @@ class LiveCluster:
         delta: float = 0.05,
         send_interval: float = 0.02,
         metrics_interval: float = 0.25,
-        wire: str = "json",
         shards: int = 1,
     ) -> None:
         if nodes < 2:
@@ -196,7 +196,6 @@ class LiveCluster:
         self.delta = delta
         self.send_interval = send_interval
         self.metrics_interval = metrics_interval
-        self.wire = wire
         self.ports: dict[str, int] = {p: free_port() for p in self.processors}
         self.procs: dict[str, subprocess.Popen[bytes]] = {}
         self.clients: dict[str, NodeClient] = {}
@@ -239,8 +238,6 @@ class LiveCluster:
                     str(self.log_dir),
                     "--delta",
                     str(self.delta),
-                    "--wire",
-                    self.wire,
                 ]
                 + (["--shards", str(self.shards)] if self.shards > 1 else []),
                 stdout=out,
@@ -261,16 +258,9 @@ class LiveCluster:
             pi=4 * self.delta,
             mu=20 * self.delta,
             nodes=len(self.processors),
-            wire=self.wire,
         )
         for p in self.processors:
-            client = NodeClient(
-                p,
-                "127.0.0.1",
-                self.ports[p],
-                wire=self.wire,
-                flush_after=resolve_flush_after(self.wire, -1.0),
-            )
+            client = NodeClient(p, "127.0.0.1", self.ports[p])
             await client.connect()
             self.clients[p] = client
 
@@ -507,7 +497,7 @@ class LiveCluster:
             for key in driver:
                 driver[key] += float(stats.get(key, 0))
         return {
-            "codec": self.wire,
+            "codec": CODEC_NAME,
             "nodes": {k: totals[k] for k in sorted(totals)},
             "driver_tx": driver,
             "token": token,
@@ -579,7 +569,6 @@ async def run_cluster(
     arrivals: str = "poisson",
     seed: int = 0,
     metrics_interval: float = 0.25,
-    wire: str = "json",
 ) -> dict[str, Any]:
     """One full scripted episode; returns the verification report dict.
 
@@ -603,7 +592,6 @@ async def run_cluster(
         delta=delta,
         send_interval=send_interval,
         metrics_interval=metrics_interval,
-        wire=wire,
     )
     scenario_windows: tuple[FirewallWindow, ...] = ()
     if scenario is not None:
@@ -879,12 +867,15 @@ def verify_sharded(
         orders[group] = delivered_order_from_logs(log_dir, group)
     cross = check_cross_shard_order(submitted, orders, ring)
     ok = all(r.ok for r in per_group.values()) and cross.ok
+    span, throughput = delivery_rate(list(per_group.values()))
     return {
         "ok": ok,
         "groups": {g: per_group[g].to_dict() for g in groups},
         "cross_shard": cross.to_dict(),
         "deliveries": sum(r.deliveries for r in per_group.values()),
         "sends": sum(r.sends for r in per_group.values()),
+        "span_seconds": span,
+        "throughput": throughput,
         "violations": [
             f"{g}: {v}" for g in groups for v in per_group[g].violations
         ],
@@ -907,7 +898,6 @@ async def run_sharded_cluster(
     partition_hold: float | None = None,
     settle: float | None = None,
     metrics_interval: float = 0.25,
-    wire: str = "json",
 ) -> dict[str, Any]:
     """One sharded live episode: ``nodes`` processes each hosting
     ``shards`` group runtimes, driver-side consistent-hash routing with
@@ -922,7 +912,6 @@ async def run_sharded_cluster(
         delta=delta,
         send_interval=send_interval,
         metrics_interval=metrics_interval,
-        wire=wire,
         shards=shards,
     )
     names = group_names(shards)
@@ -994,9 +983,6 @@ async def run_sharded_cluster(
             "drained": drained,
             "polled_complete": complete,
             "wall_seconds": wall,
-            "throughput": (
-                report["deliveries"] / wall if wall > 0 else 0.0
-            ),
             "log_dir": str(log_dir),
             "timeline": cluster.timeline,
             "obs": {"metrics_snapshots": snapshots},
@@ -1089,13 +1075,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--delta", type=float, default=0.05)
     parser.add_argument("--send-interval", type=float, default=0.02)
     parser.add_argument(
-        "--wire",
-        choices=("json", "binary"),
-        default="json",
-        help="wire codec for nodes and driver (default json; binary "
-        "adds interning + frame batching)",
-    )
-    parser.add_argument(
         "--arrivals",
         choices=("poisson", "round-robin"),
         default="poisson",
@@ -1148,7 +1127,6 @@ def sharded_main(args: argparse.Namespace) -> int:
             window=args.window if args.window > 0 else None,
             seed=args.seed,
             metrics_interval=args.metrics_interval,
-            wire=args.wire,
         )
     )
     if args.json:
@@ -1196,8 +1174,23 @@ def sharded_main(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
     if args.shards > 1:
+        unsupported = [
+            flag
+            for flag, given in (
+                ("--kill", args.kill),
+                ("--scenario", args.scenario is not None),
+            )
+            if given
+        ]
+        if unsupported:
+            parser.error(
+                f"{' and '.join(unsupported)} cannot be combined with "
+                "--shards > 1 (the sharded episode has no kill or "
+                "scenario replay)"
+            )
         return sharded_main(args)
     nodes = args.nodes
     if args.scenario is not None:
@@ -1218,7 +1211,6 @@ def main(argv: list[str] | None = None) -> int:
             arrivals=args.arrivals,
             seed=args.seed,
             metrics_interval=args.metrics_interval,
-            wire=args.wire,
         )
     )
     if args.json:

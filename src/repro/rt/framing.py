@@ -1,12 +1,16 @@
-"""Wire format of the live transport: frames and the message codec.
+"""The live runtime's value vocabulary: the wire-type registry and the
+tagged-JSON value encoding.
 
-A *frame* is a 4-byte big-endian length prefix followed by that many
-payload bytes.  :class:`FrameDecoder` reassembles frames from an
-arbitrary sequence of reads (TCP gives no message boundaries) and
-rejects frames above a configurable ceiling before buffering them, so a
-corrupt or hostile peer cannot make a node allocate unbounded memory.
+The frame format and the binary codec live in :mod:`repro.rt.wire`.
+This module holds what that codec shares with the rest of the runtime:
 
-The *payload* is a JSON document produced by :func:`encode_message`.
+- the wire-type registry (:func:`register_wire_type`) — every protocol
+  dataclass that may ride a frame, by name;
+- :class:`FrameError` and the :data:`MAX_FRAME` ceiling;
+- :func:`encode_value`/:func:`decode_value`, the JSON-able spelling of
+  protocol values that the event logs (:mod:`repro.rt.trace`) store and
+  whose ``repr`` gives the binary encoder its canonical set order.
+
 JSON alone cannot round-trip the protocol's value shapes (tuples vs
 lists, frozensets, view records, the bottom element), so composite
 values are tagged:
@@ -24,8 +28,7 @@ values are tagged:
   transport control records).
 
 Scalars (``None``/bool/int/float/str) and plain lists pass through
-unchanged.  The registry covers every message the ring and the cluster
-control plane put on the wire; nesting works (a
+unchanged.  Nesting works (a
 :class:`~repro.membership.messages.Sequenced` wraps another message, a
 token's order entries are tuples of payload and origin).
 """
@@ -33,8 +36,6 @@ token's order entries are tuples of payload and origin).
 from __future__ import annotations
 
 import dataclasses
-import json
-import struct
 from typing import Any
 
 from repro.core.types import BOTTOM, Bottom, Label, View
@@ -53,95 +54,13 @@ from repro.membership.messages import (
 #: small messages fits comfortably below 1 MiB.
 MAX_FRAME = 1 << 20
 
-_HEADER = struct.Struct(">I")
-
 
 class FrameError(ValueError):
     """A frame violated the wire format (oversized or malformed)."""
 
 
-def encode_frame(payload: bytes, max_frame: int = MAX_FRAME) -> bytes:
-    """Prefix ``payload`` with its length; reject oversized payloads."""
-    if len(payload) > max_frame:
-        raise FrameError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{max_frame}-byte ceiling"
-        )
-    return _HEADER.pack(len(payload)) + payload
-
-
-#: Compact the decode buffer once this many consumed bytes accumulate
-#: ahead of the cursor (amortises the one memmove over many frames).
-_COMPACT_THRESHOLD = 1 << 16
-
-
-class FrameDecoder:
-    """Incremental frame reassembly over a byte stream.
-
-    Feed it whatever the socket produced — half a header, three frames
-    and a tail, one byte at a time — and it yields complete payloads in
-    order.  State is one buffer, a consumed-prefix cursor and the
-    expected length; a declared length above ``max_frame`` raises
-    :class:`FrameError` immediately, *before* any of the oversized
-    payload is buffered.
-
-    The cursor matters for cost: consuming a frame advances an offset
-    instead of deleting the buffer's prefix (which memmoves everything
-    behind it — quadratic when one read carries thousands of frames).
-    The consumed prefix is dropped in one ``del`` per feed, and only
-    once it exceeds a threshold, so a feed of F frames costs O(bytes)
-    rather than O(F · bytes).
-    """
-
-    def __init__(self, max_frame: int = MAX_FRAME) -> None:
-        self.max_frame = max_frame
-        self._buffer = bytearray()
-        self._pos = 0
-        self._expect: int | None = None
-        self.frames_decoded = 0
-        self.bytes_fed = 0
-
-    def feed(self, data: bytes) -> list[bytes]:
-        """Absorb ``data``; return every frame completed by it."""
-        self.bytes_fed += len(data)
-        buffer = self._buffer
-        buffer.extend(data)
-        pos = self._pos
-        out: list[bytes] = []
-        try:
-            while True:
-                if self._expect is None:
-                    if len(buffer) - pos < _HEADER.size:
-                        break
-                    (length,) = _HEADER.unpack_from(buffer, pos)
-                    if length > self.max_frame:
-                        raise FrameError(
-                            f"incoming frame declares {length} bytes, above "
-                            f"the {self.max_frame}-byte ceiling"
-                        )
-                    pos += _HEADER.size
-                    self._expect = length
-                if len(buffer) - pos < self._expect:
-                    break
-                out.append(bytes(buffer[pos : pos + self._expect]))
-                pos += self._expect
-                self._expect = None
-                self.frames_decoded += 1
-        finally:
-            if pos and (pos == len(buffer) or pos >= _COMPACT_THRESHOLD):
-                del buffer[:pos]
-                pos = 0
-            self._pos = pos
-        return out
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards an incomplete frame."""
-        return len(self._buffer) - self._pos
-
-
 # ----------------------------------------------------------------------
-# Message codec
+# Value vocabulary
 # ----------------------------------------------------------------------
 #: Registered wire dataclasses, by class name.  Control records from
 #: :mod:`repro.rt.transport` register themselves at import time via
@@ -231,31 +150,11 @@ def _dec(value: Any) -> Any:
 
 
 def encode_value(value: Any) -> Any:
-    """Public alias of the recursive value encoder (trace capture uses
-    it to make event arguments JSON-able)."""
+    """The JSON-able spelling of ``value`` (event logs store it; the
+    binary encoder orders set elements by its ``repr``)."""
     return _enc(value)
 
 
 def decode_value(value: Any) -> Any:
     """Inverse of :func:`encode_value`."""
     return _dec(value)
-
-
-def encode_message(message: Any, max_frame: int = MAX_FRAME) -> bytes:
-    """Serialise one protocol message to a framed-ready payload."""
-    payload = json.dumps(_enc(message), separators=(",", ":")).encode("utf-8")
-    if len(payload) > max_frame:
-        raise FrameError(
-            f"encoded message of {len(payload)} bytes exceeds the "
-            f"{max_frame}-byte frame ceiling"
-        )
-    return payload
-
-
-def decode_message(payload: bytes) -> Any:
-    """Inverse of :func:`encode_message`."""
-    try:
-        doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"undecodable frame payload: {exc}") from exc
-    return _dec(doc)

@@ -157,6 +157,11 @@ class LiveNode:
     transport, multiplexed by :class:`~repro.shard.live.ShardEnvelope`
     frames; ``shards == 1`` keeps the pre-sharding wire byte-identical
     (no envelope, member registered directly).
+
+    ``wire`` and ``flush_after`` name the one wire the node speaks (the
+    binary codec, peer sends coalesced within one loop turn); they are
+    accepted for callers that spell it out, and any other value raises
+    :class:`ValueError`.
     """
 
     def __init__(
@@ -166,10 +171,15 @@ class LiveNode:
         log_dir: str | Path,
         config: RingConfig | None = None,
         max_frame: int | None = None,
-        wire: str = "json",
-        flush_after: float | None = None,
+        wire: str = "binary",
+        flush_after: float = 0.0,
         shards: int = 1,
     ) -> None:
+        if wire != "binary" or flush_after != 0.0:
+            raise ValueError(
+                f"the live wire is binary with same-turn flushing; got "
+                f"wire={wire!r}, flush_after={flush_after!r}"
+            )
         self.proc_id = proc_id
         self.config = config if config is not None else default_ring_config()
         self.shards = max(1, shards)
@@ -183,8 +193,6 @@ class LiveNode:
             peers,
             self.scheduler,
             on_ctl=self._on_ctl,
-            wire=wire,
-            flush_after=flush_after,
             **kwargs,
         )
         self.log_dir = Path(log_dir)
@@ -487,37 +495,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="frame size ceiling in bytes (default 1 MiB)",
     )
     parser.add_argument(
-        "--wire",
-        choices=("json", "binary"),
-        default="json",
-        help="outbound wire codec (default json; inbound is auto-"
-        "detected per frame, so mixed clusters interoperate)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=1,
         help="number of VS group runtimes to host on this node "
         "(default 1: the unsharded byte-identical wire)",
     )
-    parser.add_argument(
-        "--flush-interval",
-        type=float,
-        default=-1.0,
-        help="batching window in seconds for outbound frames; 0 "
-        "coalesces same-loop-turn sends without added latency, "
-        "negative means auto (binary: 0, json: off)",
-    )
     return parser
-
-
-def resolve_flush_after(wire: str, flush_interval: float) -> float | None:
-    """The CLI's auto rule: a negative interval picks the codec's
-    default (binary batches within the loop turn; json stays on the
-    byte-identical legacy one-frame-per-message wire)."""
-    if flush_interval >= 0:
-        return flush_interval
-    return 0.0 if wire == "binary" else None
 
 
 async def amain(argv: list[str] | None = None) -> int:
@@ -531,8 +515,6 @@ async def amain(argv: list[str] | None = None) -> int:
         args.log_dir,
         config=default_ring_config(args.delta),
         max_frame=args.max_frame,
-        wire=args.wire,
-        flush_after=resolve_flush_after(args.wire, args.flush_interval),
         shards=args.shards,
     )
     await node.start()

@@ -115,6 +115,9 @@ class VerifyReport:
     views_installed: int = 0
     #: every bcast value delivered at every processor in ``expect_at``.
     delivered_complete: bool = False
+    #: wall timestamps of the first bcast and the last brcv.
+    first_bcast: float | None = None
+    last_brcv: float | None = None
     #: wall seconds from first bcast to last brcv.
     span_seconds: float = 0.0
     #: brcv events per wall second over the span.
@@ -142,6 +145,19 @@ class VerifyReport:
             "latency": dict(self.latency),
             "ok": self.ok,
         }
+
+
+def delivery_rate(reports: Sequence[VerifyReport]) -> tuple[float, float]:
+    """``(span seconds, brcv per second)`` over captures taken in one
+    run — one report, or one per group of a sharded run.  The span runs
+    from the first bcast to the last brcv across all of them, so spawn,
+    settle and shutdown time never dilute the rate."""
+    firsts = [r.first_bcast for r in reports if r.first_bcast is not None]
+    lasts = [r.last_brcv for r in reports if r.last_brcv is not None]
+    if not firsts or not lasts or max(lasts) <= min(firsts):
+        return 0.0, 0.0
+    span = max(lasts) - min(firsts)
+    return span, sum(r.deliveries for r in reports) / span
 
 
 def _latency_stats(samples: Sequence[float]) -> dict[str, float]:
@@ -179,8 +195,6 @@ def verify_events(
     bcast_values: list[Any] = []
     delivered_at: dict[str, list[Any]] = {p: [] for p in procs}
     latencies: list[float] = []
-    first_bcast: float | None = None
-    last_brcv: float | None = None
 
     for entry in events:
         name, args, ts = entry["ev"], entry["args"], entry["ts"]
@@ -203,14 +217,14 @@ def verify_events(
             report.sends += 1
             bcast_ts.setdefault(value, ts)
             bcast_values.append(value)
-            if first_bcast is None:
-                first_bcast = ts
+            if report.first_bcast is None:
+                report.first_bcast = ts
         elif name == "brcv":
             value, origin, dst = args
             to_actions.append(act("brcv", value, origin, dst))
             report.deliveries += 1
             delivered_at[dst].append(value)
-            last_brcv = ts
+            report.last_brcv = ts
             if value in bcast_ts:
                 latencies.append(ts - bcast_ts[value])
 
@@ -223,9 +237,7 @@ def verify_events(
     report.delivered_complete = bool(bcast_values) and all(
         set(bcast_values) <= set(delivered_at[p]) for p in required
     )
-    if first_bcast is not None and last_brcv is not None and last_brcv > first_bcast:
-        report.span_seconds = last_brcv - first_bcast
-        report.throughput = report.deliveries / report.span_seconds
+    report.span_seconds, report.throughput = delivery_rate([report])
     report.latency = _latency_stats(latencies)
     return report
 

@@ -9,11 +9,14 @@ the registered protocol endpoint — the same
 simulated network uses, so :class:`~repro.membership.ring.RingMember`
 runs over it unmodified.
 
-Identity handshake: the first frame on every connection is a
-:class:`Hello` naming the sender, after which frames are protocol
-messages attributed to that sender.  The cluster driver connects the
-same way (as ``"driver"``) and speaks :class:`Ctl` records, which are
-routed to the node's control handler instead of the ring.
+Every stream speaks the one frame format of :mod:`repro.rt.wire`
+(binary codec, per-connection interning, peer sends coalesced within
+one event-loop turn).  Identity handshake: the first record on every
+connection is a :class:`Hello` naming the sender, after which records
+are protocol messages attributed to that sender.  The cluster driver
+connects the same way (as ``"driver"``) and speaks :class:`Ctl`
+records, which are routed to the node's control handler instead of the
+ring.
 
 Partition injection is *firewall-style*: :meth:`LiveNetwork.block`
 drops frames to and from the named peers at this node while leaving
@@ -38,19 +41,13 @@ from typing import Any
 
 from repro.net.status import FailureOracle
 from repro.rt.clock import LiveScheduler
-from repro.rt.framing import (
-    MAX_FRAME,
-    FrameError,
-    encode_frame,
-    encode_message,
-    register_wire_type,
-)
+from repro.rt.framing import MAX_FRAME, FrameError, register_wire_type
 from repro.rt.wire import (
+    CODEC_NAME,
     ReaderStats,
     WireReader,
     WireWriter,
     WriterStats,
-    make_wire,
 )
 
 #: Reserved sender id for the cluster driver's control connections.
@@ -77,14 +74,11 @@ COUNTER_KEYS = (
 @register_wire_type
 @dataclass(frozen=True)
 class Hello:
-    """Connection handshake: who is speaking on this stream, and which
-    codec they will frame after this record.  The Hello itself always
-    rides as a legacy json frame so any peer can read it; ``wire`` is
-    informational (receivers auto-detect per frame from the header) and
-    defaults to json so old peers decode cleanly."""
+    """Connection handshake: who is speaking on this stream.  It is the
+    first record the stream's :class:`~repro.rt.wire.WireWriter`
+    sends."""
 
     src: str
-    wire: str = "json"
 
 
 @register_wire_type
@@ -136,16 +130,6 @@ class LiveNetwork:
         Frame ceiling for both directions.
     reconnect_delay:
         Initial outbound reconnect backoff (doubles up to 8x).
-    wire:
-        Codec for everything this node sends (``"json"`` or
-        ``"binary"``); inbound frames are auto-detected per frame, so
-        mixed-codec clusters interoperate.
-    flush_after:
-        Batching window in seconds for outbound protocol frames.
-        ``None`` disables batching (every message is its own frame —
-        with the json codec this is byte-identical to the legacy wire);
-        ``0.0`` coalesces messages sent within the same event-loop turn
-        without adding latency.
     flush_max_bytes:
         Flush the batch queue early once it holds this many payload
         bytes (clamped to half the frame ceiling).
@@ -159,8 +143,6 @@ class LiveNetwork:
         on_ctl: CtlHandler | None = None,
         max_frame: int = MAX_FRAME,
         reconnect_delay: float = 0.05,
-        wire: str = "json",
-        flush_after: float | None = None,
         flush_max_bytes: int = 1 << 16,
     ) -> None:
         if proc_id not in peers:
@@ -179,13 +161,12 @@ class LiveNetwork:
         self._on_ctl = on_ctl
         self.max_frame = max_frame
         self._reconnect_delay = reconnect_delay
-        self.wire_name = wire
-        self.flush_after = flush_after
         self.flush_max_bytes = flush_max_bytes
-        # One aggregate per codec name, shared by every connection's
-        # writer/reader (all access is on the loop thread).
-        self.tx_stats: dict[str, WriterStats] = {}
-        self.rx_stats: dict[str, ReaderStats] = {}
+        # One aggregate per direction, shared by every connection's
+        # writer/reader (all access is on the loop thread); keyed by the
+        # codec name, as the stats and metrics label them.
+        self.tx_stats: dict[str, WriterStats] = {CODEC_NAME: WriterStats()}
+        self.rx_stats: dict[str, ReaderStats] = {CODEC_NAME: ReaderStats()}
         for peer in self._peers.values():
             peer.sender = self._make_sender(batching=True)
         self._node: Any = None
@@ -208,24 +189,16 @@ class LiveNetwork:
     # ------------------------------------------------------------------
     # Wire plumbing
     # ------------------------------------------------------------------
-    def _tx_stats_for(self, codec_name: str) -> WriterStats:
-        stats = self.tx_stats.get(codec_name)
-        if stats is None:
-            stats = self.tx_stats[codec_name] = WriterStats()
-        return stats
-
     def _make_sender(self, batching: bool) -> WireWriter:
-        """A codec writer for one outbound direction.  ``batching``
-        is off for reply writers: control replies must hit the wire
-        before the requester's timeout, not a flush window later."""
-        wire = make_wire(self.wire_name)
+        """A codec writer for one outbound direction.  Peer streams
+        coalesce the sends of one loop turn; ``batching`` is off for
+        reply writers, so a control reply is written at once."""
         return WireWriter(
-            wire,
             max_frame=self.max_frame,
-            flush_after=self.flush_after if batching else None,
+            batching=batching,
             flush_max_bytes=self.flush_max_bytes,
             schedule=self.simulator.schedule,
-            stats=self._tx_stats_for(wire.name),
+            stats=self.tx_stats[CODEC_NAME],
         )
 
     def _frame_sink(self, writer: asyncio.StreamWriter) -> Callable[[bytes], None]:
@@ -269,7 +242,7 @@ class LiveNetwork:
             "rt_peers_connected", "outbound streams currently established",
             labels=("proc",),
         ).labels(proc)
-        # Wire-level families, synced from the per-codec aggregates on
+        # Wire-level families, synced from the tx/rx aggregates on
         # every stats()/snapshot pass (zero hot-path cost).
         self._m_wire = {
             "frames": metrics.gauge(
@@ -297,7 +270,7 @@ class LiveNetwork:
         }
 
     def _sync_wire_metrics(self) -> None:
-        """Publish the per-codec wire aggregates into the registry."""
+        """Publish the tx/rx wire aggregates into the registry."""
         if self._m_wire is None:
             return
         proc = str(self.proc_id)
@@ -387,15 +360,9 @@ class LiveNetwork:
                 delay = min(delay * 2, 8 * self._reconnect_delay)
                 continue
             delay = self._reconnect_delay
-            # The Hello always rides the legacy json wire (it is what
-            # tells the peer which codec the rest of the stream uses).
-            writer.write(
-                encode_frame(
-                    encode_message(Hello(src=self.proc_id, wire=self.wire_name))
-                )
-            )
             assert peer.sender is not None
             peer.sender.attach(self._frame_sink(writer))
+            peer.sender.send_now(Hello(src=self.proc_id))
             peer.writer = writer
             self.counters["connects"] += 1
             if self._m_connected is not None:
@@ -474,7 +441,7 @@ class LiveNetwork:
     async def _serve(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        wire_reader = WireReader(self.max_frame, stats=self.rx_stats)
+        wire_reader = WireReader(self.max_frame, stats=self.rx_stats[CODEC_NAME])
         # Replies share the connection's lifetime; no batching so a
         # control reply never sits behind a flush window.
         replier: Callable[[Ctl], None] | None = None
@@ -562,8 +529,7 @@ class LiveNetwork:
             ),
             "blocked": sorted(self.blocked),
             "wire": {
-                "codec": self.wire_name,
-                "flush_after": self.flush_after,
+                "codec": CODEC_NAME,
                 "tx": {
                     codec: s.to_dict()
                     for codec, s in sorted(self.tx_stats.items())

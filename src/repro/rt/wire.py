@@ -1,19 +1,17 @@
-"""Compact binary wire codec and frame/payload batching (E25).
+"""The live runtime's wire format: frames, the binary codec, batching.
 
-:mod:`repro.rt.framing` defines the live runtime's *legacy* wire: a
-4-byte length prefix around a tagged-JSON payload.  That format is kept
-fully supported — it is the fallback codec and the offline trace
-vocabulary — but it pays for self-description on every frame.  This
-module adds the hot-path alternative:
+This module is the one place the frame format is defined.  Every
+connection — peer streams, the driver's control connections and their
+replies — carries the same byte stream:
 
-**Framed header.**  Binary-era frames open with a struct-packed header
-``(magic, version, codec id, flags, length)`` instead of a bare length.
-The magic byte (0xA5) can never open a legacy frame (a legacy length
-prefix below 16 MiB starts with 0x00), so :class:`WireDecoder` tells
-the two formats apart per frame and a stream may mix them — which is
-exactly how the handshake works: every connection opens with a legacy
-:class:`~repro.rt.transport.Hello` naming the sender's codec, and the
-frames after it speak whatever the header says.
+**Framed header.**  Each frame opens with a struct-packed header
+``(magic, version, codec id, flags, length)``.  The magic byte (0xA5)
+and the version are checked on every frame; a stream whose first byte
+is not the magic (an old peer's 4-byte-length JSON frame starts with
+0x00), an unknown version or a codec id other than
+:data:`CODEC_BINARY` raises :class:`~repro.rt.framing.FrameError`, and
+the transport drops the connection.  Every connection opens with a
+:class:`~repro.rt.transport.Hello` frame naming the sender.
 
 **Compact value encoding.**  :class:`BinaryEncoder` writes the codec's
 value shapes (scalars, tuples/lists/frozensets/dicts, ``View``,
@@ -38,8 +36,9 @@ of one each.
 
 Determinism: encoding any value is a pure function of the value and
 the encoder's table state; sets sort by the canonical JSON encoding of
-their elements (the same order the legacy codec uses), so both codecs
-serialise one value identically on every process and hash seed.
+their elements (:func:`~repro.rt.framing.encode_value`, the event-log
+vocabulary), so one value serialises identically on every process and
+hash seed.
 """
 
 from __future__ import annotations
@@ -54,25 +53,20 @@ from repro.core.types import BOTTOM, Bottom, View
 from repro.rt.framing import (
     MAX_FRAME,
     FrameError,
-    decode_message,
-    encode_frame,
-    encode_message,
     encode_value,
     lookup_wire_type,
     wire_type_name,
 )
 
-#: First header byte of a binary-era frame.  A legacy frame's first
-#: byte is the top byte of a 32-bit length, i.e. 0x00 for any frame
-#: under 16 MiB — far above every supported ceiling — so one byte of
-#: lookahead separates the two formats.
+#: First header byte of every frame.
 WIRE_MAGIC = 0xA5
-#: Wire protocol version carried in every binary-era header.
+#: Wire protocol version carried in every header.
 WIRE_VERSION = 1
 
-#: Codec identifiers carried in the frame header.
-CODEC_JSON = 0
+#: The codec id carried in every header (the only one accepted).
 CODEC_BINARY = 1
+#: The codec's name in transport stats and metric labels.
+CODEC_NAME = "binary"
 
 #: Header flag: the payload is a batch (varint count, then that many
 #: varint-length-prefixed message payloads).
@@ -80,7 +74,6 @@ FLAG_BATCH = 0x01
 
 #: magic, version, codec id, flags, payload length.
 _WIRE_HEADER = struct.Struct(">BBBBI")
-_LEGACY_HEADER = struct.Struct(">I")
 _DOUBLE = struct.Struct(">d")
 
 #: Interned strings longer than this ride inline (interning a huge
@@ -91,70 +84,77 @@ _MAX_INTERN_LEN = 255
 #: name a cluster produces many times over.
 _MAX_INTERN_TABLE = 4096
 
-#: Wire format names accepted by the node/cluster CLIs.
-WIRE_NAMES = ("json", "binary")
-
 
 class WireFrame:
-    """One decoded frame: which codec, which flags, which bytes."""
+    """One decoded frame: its flags and its payload bytes."""
 
-    __slots__ = ("codec", "flags", "payload")
+    __slots__ = ("flags", "payload")
 
-    def __init__(self, codec: int, flags: int, payload: bytes) -> None:
-        self.codec = codec
+    def __init__(self, flags: int, payload: bytes) -> None:
         self.flags = flags
         self.payload = payload
 
 
 def encode_wire_frame(
-    payload: bytes,
-    codec: int,
-    flags: int = 0,
-    max_frame: int = MAX_FRAME,
+    payload: bytes, flags: int = 0, max_frame: int = MAX_FRAME
 ) -> bytes:
-    """Wrap ``payload`` in a binary-era header; reject oversized."""
+    """Wrap ``payload`` in a frame header; reject oversized."""
     if len(payload) > max_frame:
         raise FrameError(
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{max_frame}-byte ceiling"
         )
     return (
-        _WIRE_HEADER.pack(WIRE_MAGIC, WIRE_VERSION, codec, flags, len(payload))
+        _WIRE_HEADER.pack(
+            WIRE_MAGIC, WIRE_VERSION, CODEC_BINARY, flags, len(payload)
+        )
         + payload
     )
 
 
-class WireDecoder:
-    """Incremental reassembly of a mixed legacy/binary frame stream.
+#: Compact the decode buffer once this many consumed bytes accumulate
+#: ahead of the cursor (amortises the one memmove over many frames).
+_COMPACT_THRESHOLD = 1 << 16
 
-    The same offset-cursor technique as :class:`~repro.rt.framing.
-    FrameDecoder` (one compaction per feed, never per frame), plus one
-    byte of lookahead to pick the header format.  Legacy frames come
-    back as ``WireFrame(CODEC_JSON, 0, payload)``.
+
+class WireDecoder:
+    """Incremental frame reassembly over a byte stream.
+
+    Feed it whatever the socket produced — half a header, three frames
+    and a tail, one byte at a time — and it returns complete frames in
+    order.  A header is rejected with :class:`FrameError` as soon as
+    its bytes disprove it: a first byte that is not the magic, an
+    unknown version or codec id, or a declared length above
+    ``max_frame`` (checked *before* any of the payload is buffered, so
+    a corrupt or hostile peer cannot make a node allocate unbounded
+    memory).
+
+    Consuming a frame advances an offset instead of deleting the
+    buffer's prefix (which memmoves everything behind it — quadratic
+    when one read carries thousands of frames); the consumed prefix is
+    dropped in one ``del`` per feed, and only once it exceeds a
+    threshold, so a feed of F frames costs O(bytes).
     """
 
     def __init__(self, max_frame: int = MAX_FRAME) -> None:
         self.max_frame = max_frame
         self._buffer = bytearray()
         self._pos = 0
-        #: (codec, flags, remaining length) of the frame being read.
-        self._expect: tuple[int, int, int] | None = None
+        #: (flags, length) of the frame being read.
+        self._expect: tuple[int, int] | None = None
         self.frames_decoded = 0
         self.bytes_fed = 0
 
-    def _parse_header(self, buffer: bytearray, pos: int) -> tuple[int, tuple[int, int, int]] | None:
-        """Parse one header at ``pos``; None when more bytes are needed.
-        Returns (bytes consumed, (codec, flags, length))."""
+    def _parse_header(
+        self, buffer: bytearray, pos: int
+    ) -> tuple[int, int] | None:
+        """Parse the header at ``pos``; None when more bytes are
+        needed.  Returns (flags, length)."""
         if buffer[pos] != WIRE_MAGIC:
-            if len(buffer) - pos < _LEGACY_HEADER.size:
-                return None
-            (length,) = _LEGACY_HEADER.unpack_from(buffer, pos)
-            if length > self.max_frame:
-                raise FrameError(
-                    f"incoming frame declares {length} bytes, above the "
-                    f"{self.max_frame}-byte ceiling"
-                )
-            return _LEGACY_HEADER.size, (CODEC_JSON, 0, length)
+            raise FrameError(
+                f"stream byte 0x{buffer[pos]:02x} does not open a frame "
+                f"(want magic 0x{WIRE_MAGIC:02x})"
+            )
         if len(buffer) - pos < _WIRE_HEADER.size:
             return None
         _magic, version, codec, flags, length = _WIRE_HEADER.unpack_from(
@@ -162,12 +162,14 @@ class WireDecoder:
         )
         if version != WIRE_VERSION:
             raise FrameError(f"unsupported wire version {version}")
+        if codec != CODEC_BINARY:
+            raise FrameError(f"unknown codec id {codec}")
         if length > self.max_frame:
             raise FrameError(
                 f"incoming frame declares {length} bytes, above the "
                 f"{self.max_frame}-byte ceiling"
             )
-        return _WIRE_HEADER.size, (codec, flags, length)
+        return flags, length
 
     def feed(self, data: bytes) -> list[WireFrame]:
         """Absorb ``data``; return every frame completed by it."""
@@ -179,24 +181,21 @@ class WireDecoder:
         try:
             while True:
                 if self._expect is None:
-                    if len(buffer) - pos < 1:
+                    if pos == len(buffer):
                         break
-                    parsed = self._parse_header(buffer, pos)
-                    if parsed is None:
+                    self._expect = self._parse_header(buffer, pos)
+                    if self._expect is None:
                         break
-                    consumed, self._expect = parsed
-                    pos += consumed
-                codec, flags, length = self._expect
+                    pos += _WIRE_HEADER.size
+                flags, length = self._expect
                 if len(buffer) - pos < length:
                     break
-                out.append(
-                    WireFrame(codec, flags, bytes(buffer[pos : pos + length]))
-                )
+                out.append(WireFrame(flags, bytes(buffer[pos : pos + length])))
                 pos += length
                 self._expect = None
                 self.frames_decoded += 1
         finally:
-            if pos and (pos == len(buffer) or pos >= 1 << 16):
+            if pos and (pos == len(buffer) or pos >= _COMPACT_THRESHOLD):
                 del buffer[:pos]
                 pos = 0
             self._pos = pos
@@ -278,9 +277,9 @@ _T_MESSAGE = 0x0E  # type name (str value) + varint arity + fields
 
 
 def _canonical_set_order(values: Any) -> list[Any]:
-    """Set elements in the legacy codec's order (sorted by the repr of
-    their canonical JSON encoding) — hash-seed independent, and it
-    keeps both codecs byte-deterministic for the same value."""
+    """Set elements in canonical order (sorted by the repr of their
+    event-log JSON encoding) — hash-seed independent, so one value
+    encodes to the same bytes on every process."""
     return sorted(values, key=lambda v: repr(encode_value(v)))
 
 
@@ -524,43 +523,12 @@ class BinaryDecoder:
 
 
 # ----------------------------------------------------------------------
-# Codec objects (one per connection direction)
+# The per-connection codec
 # ----------------------------------------------------------------------
-class Wire:
-    """One connection direction's codec: payload bytes <-> messages."""
-
-    name: str
-    codec_id: int
-
-    def encode(self, message: Any, max_frame: int = MAX_FRAME) -> bytes:
-        raise NotImplementedError
-
-    def decode(self, payload: bytes) -> Any:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Drop per-connection state (called on (re)connect)."""
-
-
-class JsonWire(Wire):
-    """The legacy tagged-JSON codec behind the common interface."""
-
-    name = "json"
-    codec_id = CODEC_JSON
-
-    def encode(self, message: Any, max_frame: int = MAX_FRAME) -> bytes:
-        return encode_message(message, max_frame)
-
-    def decode(self, payload: bytes) -> Any:
-        return decode_message(payload)
-
-
-class BinaryWire(Wire):
-    """The compact binary codec; holds both interning tables so one
-    instance can serve a connection's encode or decode side."""
-
-    name = "binary"
-    codec_id = CODEC_BINARY
+class BinaryWire:
+    """One connection's codec: payload bytes <-> messages.  Holds both
+    interning tables, so one instance can serve a connection's encode
+    or decode side."""
 
     def __init__(self) -> None:
         self._encoder = BinaryEncoder()
@@ -573,26 +541,9 @@ class BinaryWire(Wire):
         return self._decoder.decode(payload)
 
     def reset(self) -> None:
+        """Drop per-connection state (called on (re)connect)."""
         self._encoder.reset()
         self._decoder.reset()
-
-
-def make_wire(name: str) -> Wire:
-    """A fresh codec instance for a CLI wire name."""
-    if name == "json":
-        return JsonWire()
-    if name == "binary":
-        return BinaryWire()
-    raise ValueError(f"unknown wire format {name!r} (want one of {WIRE_NAMES})")
-
-
-def wire_for_codec(codec: int) -> Wire:
-    """A fresh codec instance for a frame-header codec id."""
-    if codec == CODEC_JSON:
-        return JsonWire()
-    if codec == CODEC_BINARY:
-        return BinaryWire()
-    raise FrameError(f"unknown codec id {codec}")
 
 
 # ----------------------------------------------------------------------
@@ -632,41 +583,39 @@ class WriterStats:
 
 
 class WireWriter:
-    """Codec + size/time-bounded batching over one outbound stream.
+    """Codec + same-turn batching over one outbound stream.
 
     Messages are encoded immediately (so encode cost is attributed to
-    the sender's turn and the interning table advances in send order)
-    and the payload bytes are queued.  The queue is flushed into one
-    frame when it reaches ``flush_max_bytes``, when the ``flush_after``
-    timer (armed at the first queued payload) fires, or explicitly via
-    :meth:`send_now`/:meth:`flush`.  ``flush_after=None`` disables
-    batching: every payload is written as its own frame, and a json
-    codec degenerates to the byte-identical legacy (length-prefixed)
-    wire — the E22 fallback.
+    the sender's turn and the interning table advances in send order).
+    With ``batching`` the payload bytes are queued, and the queue is
+    flushed into one frame when it reaches ``flush_max_bytes``, when the
+    zero-delay timer armed at the first queued payload fires (the end
+    of the current event-loop turn, so no latency is added), or
+    explicitly via :meth:`send_now`/:meth:`flush`.  Without it every
+    payload is written as its own frame at once.
     """
 
     def __init__(
         self,
-        wire: Wire,
         max_frame: int = MAX_FRAME,
-        flush_after: float | None = None,
+        batching: bool = False,
         flush_max_bytes: int = 1 << 16,
         schedule: Callable[[float, Callable[[], None]], Any] | None = None,
         stats: WriterStats | None = None,
     ) -> None:
         if flush_max_bytes > max_frame // 2:
             flush_max_bytes = max_frame // 2
-        self.wire = wire
+        self.wire = BinaryWire()
         self.max_frame = max_frame
-        self.flush_after = flush_after
+        self.batching = batching
         self.flush_max_bytes = flush_max_bytes
         self._schedule = schedule
         self._write: Callable[[bytes], None] | None = None
         self._pending: list[bytes] = []
         self._pending_bytes = 0
         self._timer: Any = None
-        #: May be shared between writers (one aggregate per codec at the
-        #: transport level); all access is on the event-loop thread.
+        #: May be shared between writers (one aggregate at the transport
+        #: level); all access is on the event-loop thread.
         self.stats = stats if stats is not None else WriterStats()
 
     # ------------------------------------------------------------------
@@ -703,14 +652,14 @@ class WireWriter:
     # ------------------------------------------------------------------
     def send(self, message: Any) -> bool:
         """Encode and queue (or write) one message; False when no
-        stream is attached (the message is dropped, as a disconnected
-        legacy send would be)."""
+        stream is attached (the message is dropped, as a send on a
+        broken connection would be)."""
         if self._write is None:
             return False
         start = time.perf_counter()
         payload = self.wire.encode(message, self.max_frame)
         self.stats.encode_seconds += time.perf_counter() - start
-        if self.flush_after is None or self._schedule is None:
+        if not self.batching or self._schedule is None:
             self._emit([payload])
             return True
         if (
@@ -723,7 +672,7 @@ class WireWriter:
         if self._pending_bytes >= self.flush_max_bytes:
             self.flush()
         elif self._timer is None:
-            self._timer = self._schedule(self.flush_after, self.flush)
+            self._timer = self._schedule(0.0, self.flush)
         return True
 
     def send_now(self, message: Any) -> bool:
@@ -751,19 +700,11 @@ class WireWriter:
     def _emit(self, payloads: list[bytes]) -> None:
         write = self._write
         assert write is not None
-        if len(payloads) == 1 and self.wire.codec_id == CODEC_JSON:
-            # Single json payload: the byte-identical legacy frame.
-            frame = encode_frame(payloads[0], self.max_frame)
-        elif len(payloads) == 1:
-            frame = encode_wire_frame(
-                payloads[0], self.wire.codec_id, 0, self.max_frame
-            )
+        if len(payloads) == 1:
+            frame = encode_wire_frame(payloads[0], 0, self.max_frame)
         else:
             frame = encode_wire_frame(
-                pack_batch(payloads),
-                self.wire.codec_id,
-                FLAG_BATCH,
-                self.max_frame,
+                pack_batch(payloads), FLAG_BATCH, self.max_frame
             )
             self.stats.batches += 1
         write(frame)
@@ -806,27 +747,20 @@ class ReaderStats:
 
 
 class WireReader:
-    """Incremental frame reassembly + per-codec payload decoding for
-    one inbound stream.  Codec state (the binary interning table) lives
-    for the stream's lifetime, exactly mirroring the sender.  Stats are
-    kept per codec name and may be shared across connections (the
-    transport hands every reader one aggregate dict)."""
+    """Incremental frame reassembly + payload decoding for one inbound
+    stream.  Codec state (the interning table) lives for the stream's
+    lifetime, exactly mirroring the sender.  ``stats`` may be shared
+    across connections (the transport hands every reader one
+    aggregate)."""
 
     def __init__(
         self,
         max_frame: int = MAX_FRAME,
-        stats: dict[str, ReaderStats] | None = None,
+        stats: ReaderStats | None = None,
     ) -> None:
         self._decoder = WireDecoder(max_frame)
-        self._wires: dict[int, Wire] = {}
-        self.stats: dict[str, ReaderStats] = stats if stats is not None else {}
-
-    def _wire(self, codec: int) -> Wire:
-        wire = self._wires.get(codec)
-        if wire is None:
-            wire = wire_for_codec(codec)
-            self._wires[codec] = wire
-        return wire
+        self._wire = BinaryWire()
+        self.stats = stats if stats is not None else ReaderStats()
 
     def feed(self, data: bytes) -> list[Any]:
         """Absorb stream bytes; return every decoded message.
@@ -836,11 +770,8 @@ class WireReader:
         safely resumed, so the caller must drop the connection.
         """
         messages: list[Any] = []
+        stats = self.stats
         for frame in self._decoder.feed(data):
-            wire = self._wire(frame.codec)
-            stats = self.stats.get(wire.name)
-            if stats is None:
-                stats = self.stats[wire.name] = ReaderStats()
             stats.frames += 1
             stats.bytes_on_wire += len(frame.payload)
             if frame.flags & FLAG_BATCH:
@@ -850,7 +781,7 @@ class WireReader:
                 payloads = [frame.payload]
             start = time.perf_counter()
             for payload in payloads:
-                messages.append(wire.decode(payload))
+                messages.append(self._wire.decode(payload))
             stats.decode_seconds += time.perf_counter() - start
             stats.entries += len(payloads)
         return messages

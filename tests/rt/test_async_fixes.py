@@ -16,7 +16,7 @@ import signal
 
 from repro.rt.clock import LiveScheduler
 from repro.rt.cluster import LiveCluster, NodeClient, free_port
-from repro.rt.transport import LiveNetwork
+from repro.rt.transport import Ctl, LiveNetwork
 
 
 class HangingReader:
@@ -106,6 +106,37 @@ class TestMetricsStreamStop:
 
         run(scenario())
 
+    def test_stop_ends_a_poller_whose_cancel_lands_with_its_reply(
+        self, tmp_path
+    ):
+        """The poller's reply arrives in the same loop turn as the
+        cancel from stop_metrics_stream.  Before Python 3.12,
+        asyncio.wait_for returned that reply instead of raising, the
+        poller went on to its next request and the stop kept waiting
+        on it; the cancel must end the poller."""
+
+        async def scenario():
+            cluster = LiveCluster(2, tmp_path)
+            for p in cluster.processors:
+                client = NodeClient(p, "127.0.0.1", cluster.ports[p])
+                client._sender.attach(lambda frame: None)
+                cluster.clients[p] = client
+            cluster.start_metrics_stream()
+            poller = cluster._metrics_task
+            await asyncio.sleep(0.05)  # the poller waits on p1's reply
+            cluster.clients["p1"]._replies.put_nowait(Ctl("stats", {}))
+            stop = asyncio.get_running_loop().create_task(
+                cluster.stop_metrics_stream()
+            )
+            await asyncio.wait({stop}, timeout=2.0)
+            try:
+                assert stop.done(), "stop_metrics_stream is still waiting"
+                assert poller.done()
+            finally:
+                stop.cancel()
+
+        run(scenario())
+
 
 class TestSpawnAndReap:
     def test_spawn_closes_log_fds_and_kill_reaps_off_loop(self, tmp_path):
@@ -115,7 +146,7 @@ class TestSpawnAndReap:
         heartbeat task keeps ticking while the reap runs."""
 
         async def scenario():
-            cluster = LiveCluster(2, tmp_path, wire="json")
+            cluster = LiveCluster(2, tmp_path)
             await cluster.spawn()
             try:
                 held = []

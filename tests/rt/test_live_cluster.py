@@ -4,13 +4,15 @@ full subprocess cluster smoke (tier-1 acceptance surface)."""
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
+import struct
 
 import pytest
 
 from repro.rt.cluster import LiveCluster, free_port, run_cluster
 from repro.rt.clock import LiveScheduler
-from repro.rt.node import default_ring_config, initial_view_for, parse_peers
+from repro.rt.node import LiveNode, default_ring_config, initial_view_for, parse_peers
 from repro.rt.transport import LiveNetwork
 
 
@@ -116,6 +118,36 @@ class TestTransportLoopback:
 
         asyncio.run(scenario())
 
+    def test_legacy_json_hello_is_dropped(self):
+        """A peer that opens with the old 4-byte-length tagged-JSON
+        Hello is cut off at its first byte: the stream is closed, one
+        frame error is counted and nothing reaches the endpoint."""
+
+        async def scenario():
+            peers = loopback_peers(2)
+            loop = asyncio.get_running_loop()
+            net = LiveNetwork("p1", peers, LiveScheduler(loop))
+            sink = Sink("p1")
+            net.register(sink)
+            await net.start()
+            try:
+                body = json.dumps(
+                    {"!": "m", "m": "Hello", "f": {"src": "p2", "wire": "json"}}
+                ).encode()
+                reader, writer = await asyncio.open_connection(*peers["p1"])
+                writer.write(struct.pack(">I", len(body)) + body)
+                await writer.drain()
+                # The node closes the stream: the read sees EOF.
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                writer.close()
+                assert net.counters["frame_errors"] == 1
+                assert net.counters["frames_received"] == 0
+                assert sink.received == []
+            finally:
+                await net.close()
+
+        asyncio.run(scenario())
+
 
 class TestClusterHelpers:
     def test_parse_peers_roundtrips_cluster_spec(self):
@@ -145,6 +177,12 @@ class TestClusterHelpers:
         view = initial_view_for(("p2", "p1", "p3"))
         assert view.id == (0, "p1")
         assert view.set == frozenset({"p1", "p2", "p3"})
+
+    def test_live_node_accepts_only_the_one_wire(self, tmp_path):
+        peers = loopback_peers(2)
+        for kwargs in ({"wire": "json"}, {"flush_after": None}, {"flush_after": 0.01}):
+            with pytest.raises(ValueError, match="binary with same-turn flushing"):
+                LiveNode("p1", peers, tmp_path, **kwargs)
 
 
 class TestLiveClusterSmoke:

@@ -1,8 +1,9 @@
 """Binary wire codec tests: registry sweep, interning, batching,
-frame sniffing, ceilings, and FrameDecoder linearity (E25)."""
+frame streams, ceilings, and frame-decoder linearity (E25)."""
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -18,17 +19,14 @@ from repro.membership.messages import (
     Token,
 )
 from repro.rt.framing import (
-    FrameDecoder,
     FrameError,
-    encode_frame,
-    encode_message,
+    decode_value,
+    encode_value,
     registered_wire_types,
 )
 from repro.rt.transport import Ctl, Hello
 from repro.shard.live import ShardEnvelope
 from repro.rt.wire import (
-    CODEC_BINARY,
-    CODEC_JSON,
     FLAG_BATCH,
     BinaryDecoder,
     BinaryEncoder,
@@ -36,7 +34,6 @@ from repro.rt.wire import (
     WireReader,
     WireWriter,
     encode_wire_frame,
-    make_wire,
     pack_batch,
     unpack_batch,
 )
@@ -71,7 +68,7 @@ SAMPLES: dict[str, object] = {
         next=2,
         high=(2, "p1"),
     ),
-    "Hello": Hello(src="driver", wire="binary"),
+    "Hello": Hello(src="driver"),
     "Ctl": Ctl("stats", {"nested": [(1, 2), frozenset({"a", "b"}), BOTTOM]}),
     "ShardEnvelope": ShardEnvelope(
         "g1", Sequenced(3, Probe("p2", (1, "p1")))
@@ -105,17 +102,22 @@ def binary_roundtrip(value: object) -> object:
     return BinaryDecoder().decode(BinaryEncoder().encode(value))
 
 
+def json_roundtrip(value: object) -> object:
+    """The event-log spelling: encode_value -> JSON text -> decode_value."""
+    return decode_value(json.loads(json.dumps(encode_value(value))))
+
+
 class TestRegistrySweep:
-    """Every registered wire type through BOTH codecs."""
+    """Every registered wire type through the binary codec and the
+    event-log JSON vocabulary."""
 
     def test_samples_cover_registry_exactly(self):
         assert set(SAMPLES) == set(registered_wire_types())
 
     @pytest.mark.parametrize("name", sorted(SAMPLES))
     def test_json_roundtrip(self, name):
-        wire = make_wire("json")
         sample = SAMPLES[name]
-        assert wire.decode(wire.encode(sample)) == sample
+        assert json_roundtrip(sample) == sample
 
     @pytest.mark.parametrize("name", sorted(SAMPLES))
     def test_binary_roundtrip(self, name):
@@ -132,8 +134,7 @@ class TestRegistrySweep:
 
     @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
     def test_edge_values_both_codecs(self, value):
-        wire = make_wire("json")
-        assert wire.decode(wire.encode(value)) == value
+        assert json_roundtrip(value) == value
         back = binary_roundtrip(value)
         assert back == value
         if value == value:  # noqa: PLR0124 - guards NaN-style surprises
@@ -201,27 +202,23 @@ class TestFramesAndBatches:
         with pytest.raises(FrameError):
             unpack_batch(blob + b"\x00")
 
-    def test_mixed_stream_sniffing_one_byte_at_a_time(self):
-        legacy = encode_frame(encode_message("legacy"))
-        single = encode_wire_frame(b"xyz", CODEC_BINARY)
-        batch = encode_wire_frame(
-            pack_batch([b"a", b"b"]), CODEC_BINARY, FLAG_BATCH
-        )
-        stream = legacy + single + batch + legacy
+    def test_frame_stream_one_byte_at_a_time(self):
+        single = encode_wire_frame(b"xyz")
+        batch = encode_wire_frame(pack_batch([b"a", b"b"]), FLAG_BATCH)
+        stream = single + batch + single
         decoder = WireDecoder()
         frames = []
         for i in range(len(stream)):
             frames.extend(decoder.feed(stream[i : i + 1]))
-        assert [f.codec for f in frames] == [
-            CODEC_JSON, CODEC_BINARY, CODEC_BINARY, CODEC_JSON,
+        assert [f.payload for f in frames] == [
+            b"xyz", pack_batch([b"a", b"b"]), b"xyz",
         ]
-        assert frames[1].payload == b"xyz"
-        assert frames[2].flags & FLAG_BATCH
+        assert [f.flags for f in frames] == [0, FLAG_BATCH, 0]
         assert decoder.pending_bytes == 0
 
     def test_oversized_binary_frame_rejected_before_buffering(self):
         decoder = WireDecoder(max_frame=64)
-        header = encode_wire_frame(b"x" * 64, CODEC_BINARY)[:8]
+        header = encode_wire_frame(b"x" * 64)[:8]
         oversized = bytearray(header)
         oversized[4:8] = (65).to_bytes(4, "big")
         with pytest.raises(FrameError):
@@ -230,12 +227,12 @@ class TestFramesAndBatches:
 
     def test_oversized_wire_payload_rejected_on_encode(self):
         with pytest.raises(FrameError):
-            encode_wire_frame(b"x" * 65, CODEC_BINARY, max_frame=64)
+            encode_wire_frame(b"x" * 65, max_frame=64)
         with pytest.raises(FrameError):
             BinaryEncoder().encode("y" * 4096, max_frame=64)
 
     def test_unknown_wire_version_rejected(self):
-        frame = bytearray(encode_wire_frame(b"x", CODEC_BINARY))
+        frame = bytearray(encode_wire_frame(b"x"))
         frame[1] = 99  # version byte
         with pytest.raises(FrameError):
             WireDecoder().feed(bytes(frame))
@@ -272,25 +269,30 @@ class _FakeTimer:
 
 
 class TestWireWriterBatching:
-    def pipe(self, flush_after, wire="binary", **kwargs):
+    def pipe(self, batching=True, **kwargs):
         frames: list[bytes] = []
         loop = FakeLoop()
         writer = WireWriter(
-            make_wire(wire),
-            flush_after=flush_after,
+            batching=batching,
             schedule=loop.schedule,
             **kwargs,
         )
         writer.attach(frames.append)
         return writer, frames, loop
 
-    def test_no_batching_is_legacy_identical_for_json(self):
-        writer, frames, _loop = self.pipe(flush_after=None, wire="json")
+    def test_no_batching_writes_one_frame_per_message(self):
+        writer, frames, _loop = self.pipe(batching=False)
         writer.send({"v": 1})
-        assert frames == [encode_frame(encode_message({"v": 1}))]
+        writer.send({"v": 2})
+        assert len(frames) == 2
+        assert all(WireDecoder().feed(f)[0].flags == 0 for f in frames)
+        reader = WireReader()
+        assert [m for f in frames for m in reader.feed(f)] == [
+            {"v": 1}, {"v": 2},
+        ]
 
     def test_timer_flush_coalesces(self):
-        writer, frames, loop = self.pipe(flush_after=0.01)
+        writer, frames, loop = self.pipe()
         for i in range(5):
             assert writer.send(f"m{i}")
         assert frames == []  # queued behind the timer
@@ -305,7 +307,7 @@ class TestWireWriterBatching:
         assert stats["entries_per_frame"] == 5.0
 
     def test_single_message_flush_is_plain_frame(self):
-        writer, frames, loop = self.pipe(flush_after=0.01)
+        writer, frames, loop = self.pipe()
         writer.send("solo")
         loop.fire_all()
         decoded = WireDecoder().feed(frames[0])
@@ -313,21 +315,19 @@ class TestWireWriterBatching:
         assert not decoded[0].flags & FLAG_BATCH
 
     def test_size_bound_flushes_early(self):
-        writer, frames, _loop = self.pipe(
-            flush_after=10.0, flush_max_bytes=64
-        )
+        writer, frames, _loop = self.pipe(flush_max_bytes=64)
         writer.send("x" * 100)  # single payload above the bound
         assert len(frames) == 1
 
     def test_send_now_flushes_queue(self):
-        writer, frames, _loop = self.pipe(flush_after=10.0)
+        writer, frames, _loop = self.pipe()
         writer.send("queued")
         writer.send_now("urgent")
         assert len(frames) == 1
         assert WireReader().feed(frames[0]) == ["queued", "urgent"]
 
     def test_detach_drops_queue_and_reset_reconnect(self):
-        writer, frames, loop = self.pipe(flush_after=10.0)
+        writer, frames, loop = self.pipe()
         writer.send("doomed")
         writer.detach()
         assert not writer.send("while-down")
@@ -340,7 +340,7 @@ class TestWireWriterBatching:
         assert WireReader().feed(frames2[0]) == ["fresh"]
 
     def test_writer_reader_interning_across_frames(self):
-        writer, frames, _loop = self.pipe(flush_after=None)
+        writer, frames, _loop = self.pipe(batching=False)
         reader = WireReader()
         for _ in range(3):
             writer.send(("member-1", "member-2"))
@@ -350,21 +350,21 @@ class TestWireWriterBatching:
         for frame in frames:
             out.extend(reader.feed(frame))
         assert out == [("member-1", "member-2")] * 3
-        stats = reader.stats["binary"].to_dict()
+        stats = reader.stats.to_dict()
         assert stats["frames"] == 3
         assert stats["entries"] == 3
 
 
 class TestFrameDecoderLinearity:
-    """The satellite fix: small-chunk reassembly is O(bytes), not
+    """Small-chunk reassembly in :class:`WireDecoder` is O(bytes), not
     O(frames · bytes).  50k tiny frames in one feed used to memmove the
     whole buffer once per frame (quadratic — multiple seconds); the
     offset cursor does it in one pass."""
 
     def test_many_frames_single_feed_is_fast(self):
         frames = 50_000
-        blob = encode_frame(b"x") * frames
-        decoder = FrameDecoder()
+        blob = encode_wire_frame(b"x") * frames
+        decoder = WireDecoder()
         start = time.perf_counter()
         out = decoder.feed(blob)
         elapsed = time.perf_counter() - start
@@ -376,10 +376,10 @@ class TestFrameDecoderLinearity:
 
     def test_one_byte_feeds_stay_incremental(self):
         payloads = [bytes([65 + (i % 26)]) * (i % 7 + 1) for i in range(50)]
-        stream = b"".join(encode_frame(p) for p in payloads)
-        decoder = FrameDecoder()
+        stream = b"".join(encode_wire_frame(p) for p in payloads)
+        decoder = WireDecoder()
         out = []
         for i in range(len(stream)):
-            out.extend(decoder.feed(stream[i : i + 1]))
+            out.extend(f.payload for f in decoder.feed(stream[i : i + 1]))
         assert out == payloads
         assert decoder.pending_bytes == 0

@@ -1,10 +1,12 @@
-"""The E25 equivalence gate: json and binary wires are the same
-protocol.
+"""The E25 equivalence evidence, pinned: the live wire carries the
+protocol's content unchanged.
 
-Two live runs of the same seeded partition scenario — one per codec —
-must produce identical offline-verification verdicts and identical
-content digests (which values were broadcast, and exactly what each
-node delivered).  Live timing is nondeterministic, so the digest is the
+A seeded partition scenario was run once per codec while the runtime
+still had a tagged-JSON wire next to the binary one; both codecs gave
+the same offline-verification verdicts and the same content digest
+(which values were broadcast, and exactly what each node delivered).
+That digest is pinned below, so the one remaining wire must keep
+producing it.  Live timing is nondeterministic, so the digest is the
 canonical timing-stripped one from :func:`repro.rt.trace.
 content_digest_for_dir`, not raw log bytes.
 """
@@ -16,8 +18,12 @@ import asyncio
 from repro.rt.cluster import run_cluster
 from repro.rt.trace import content_digest_for_dir
 
+#: ``content_digest_for_dir`` of the seeded scenario in :func:`run_once`,
+#: measured under both the tagged-JSON and the binary codec, twice each.
+PINNED_DIGEST = "0f7423ac895a1c708971e87f84a70468745236128c0fa257085aca06e9ae0f3c"
 
-def run_once(tmp_path, wire: str) -> tuple[dict, str]:
+
+def run_once(tmp_path) -> tuple[dict, str]:
     report = asyncio.run(
         run_cluster(
             nodes=3,
@@ -28,44 +34,26 @@ def run_once(tmp_path, wire: str) -> tuple[dict, str]:
             send_interval=0.01,
             settle=0.5,
             seed=7,
-            wire=wire,
         )
     )
     return report, content_digest_for_dir(tmp_path)
 
 
 class TestWireEquivalence:
-    def test_seeded_partition_run_verdicts_and_digests_match(self, tmp_path):
-        json_report, json_digest = run_once(tmp_path / "json", "json")
-        bin_report, bin_digest = run_once(tmp_path / "binary", "binary")
-
-        for report, codec in ((json_report, "json"), (bin_report, "binary")):
-            assert report["ok"], (codec, report["violations"], report["to_reason"])
-            assert report["delivered_complete"], codec
-            assert report["wire"]["codec"] == codec
-
-        # Verdict identity: same specification outcome under either wire.
-        verdict_keys = ("ok", "to_ok", "sends", "delivered_complete")
-        assert {k: json_report[k] for k in verdict_keys} == {
-            k: bin_report[k] for k in verdict_keys
-        }
-        assert json_report["violations"] == bin_report["violations"] == []
-
-        # Digest identity: both wires carried the exact same content.
-        assert json_digest == bin_digest
-
-        # And the binary wire actually was binary: nodes framed binary
-        # bytes, and it cost less wire than json for the same scenario.
-        bin_nodes = bin_report["wire"]["nodes"]
-        json_nodes = json_report["wire"]["nodes"]
-        assert bin_nodes.get("tx/binary", {}).get("frames", 0) > 0
-        bin_bytes = bin_nodes["tx/binary"]["bytes_on_wire"]
-        json_bytes = json_nodes["tx/json"]["bytes_on_wire"]
-        assert bin_bytes < json_bytes
+    def test_seeded_partition_run_matches_the_pinned_digest(self, tmp_path):
+        report, digest = run_once(tmp_path)
+        assert report["ok"], (report["violations"], report["to_reason"])
+        assert report["delivered_complete"]
+        assert report["violations"] == []
+        assert report["sends"] == 8
+        assert digest == PINNED_DIGEST
+        # The nodes framed binary bytes.
+        assert report["wire"]["codec"] == "binary"
+        assert report["wire"]["nodes"]["tx/binary"]["frames"] > 0
 
     def test_digest_is_stable_across_reruns_of_one_codec(self, tmp_path):
         # The digest must not hash timing: two fresh live runs of the
         # same seeded scenario collide even though their logs differ.
-        _, first = run_once(tmp_path / "a", "binary")
-        _, second = run_once(tmp_path / "b", "binary")
+        _, first = run_once(tmp_path / "a")
+        _, second = run_once(tmp_path / "b")
         assert first == second

@@ -4,10 +4,13 @@ and the full subprocess episode with per-group verification."""
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
-from repro.rt.cluster import run_sharded_cluster
+import repro.rt.cluster as cluster_module
+from repro.rt.cluster import run_sharded_cluster, verify_sharded
+from repro.shard.routing import HashRing
 from repro.shard.live import (
     GroupDemux,
     ShardEnvelope,
@@ -75,3 +78,68 @@ class TestLiveEpisode:
         assert report["sends"] == 12
         assert report["router"]["pending_total"] == 0
         assert report["polled_complete"]
+
+
+class TestShardedCli:
+    @pytest.mark.parametrize(
+        "extra", [["--kill"], ["--scenario", "any.json"], ["--kill", "--scenario", "x"]]
+    )
+    def test_flags_the_sharded_episode_ignores_are_refused(
+        self, monkeypatch, capsys, extra
+    ):
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("the refused command spawned a process")
+
+        monkeypatch.setattr(cluster_module.subprocess, "Popen", no_spawn)
+        with pytest.raises(SystemExit) as exit_info:
+            cluster_module.main(["--shards", "2", *extra])
+        assert exit_info.value.code == 2
+        assert "cannot be combined with --shards" in capsys.readouterr().err
+
+
+def write_log(path, events):
+    """A node's event log with chosen timestamps (EventLog stamps the
+    host clock, so tests that need exact times write the JSONL)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for seq, (ts, ev, args) in enumerate(events, 1):
+            entry = {"ts": ts, "seq": seq, "node": path.name.split("@")[0],
+                     "ev": ev, "args": args}
+            handle.write(json.dumps(entry) + "\n")
+
+
+class TestShardedThroughput:
+    def test_rate_spans_first_bcast_to_last_brcv_across_groups(self, tmp_path):
+        # Two groups whose delivery windows overlap only partly: g0
+        # delivers over [10.0, 10.5], g1 over [11.0, 12.0].  The run's
+        # rate is 4 deliveries over the 2.0 s from the first bcast (g0)
+        # to the last brcv (g1), as an unsharded run would count it.
+        ring = HashRing(["g0", "g1"], seed=0)
+        keys = {}
+        for i in range(64):
+            keys.setdefault(ring.owner_of(f"k{i}"), f"k{i}")
+        op0 = encode_live_op(keys["g0"], 0, "a")
+        op1 = encode_live_op(keys["g1"], 1, "b")
+        timeline = {
+            "g0": (op0, 10.0, 10.4, 10.5),
+            "g1": (op1, 11.0, 11.5, 12.0),
+        }
+        for group, (op, t_bcast, t_p1, t_p2) in timeline.items():
+            write_log(tmp_path / f"p1@{group}.events.jsonl", [
+                (t_bcast, "bcast", [op, "p1"]),
+                (t_p1, "brcv", [op, "p1", "p1"]),
+            ])
+            write_log(tmp_path / f"p2@{group}.events.jsonl", [
+                (t_p2, "brcv", [op, "p1", "p2"]),
+            ])
+        submitted = {
+            keys["g0"]: [parse_live_op(op0)],
+            keys["g1"]: [parse_live_op(op1)],
+        }
+        report = verify_sharded(
+            tmp_path, ("p1", "p2"), ("g0", "g1"), submitted, ring,
+            expect_at=("p1", "p2"),
+        )
+        assert report["ok"], report
+        assert report["deliveries"] == 4
+        assert report["span_seconds"] == pytest.approx(2.0)
+        assert report["throughput"] == pytest.approx(2.0)
